@@ -72,8 +72,9 @@ pub fn dispatch_batch<T: Scalar>(
     let (report, outputs) = run_network_with_outputs::<T>(plan, seed, cfg)?;
     let nb = plan.layers[0].problem.nb;
     let mut digests = vec![0u64; nb];
-    for (_coords, origin, slice) in &outputs {
-        let [b0, k0, x0, y0] = *origin;
+    for out in &outputs {
+        let Some(slice) = &out.slice else { continue };
+        let [b0, k0, x0, y0] = out.out_origin;
         let [db, dk, dx, dy] = slice.shape().0;
         let data = slice.as_slice();
         let mut idx = 0usize;

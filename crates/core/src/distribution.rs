@@ -161,8 +161,17 @@ pub fn shard_geometry(plan: &DistPlan, rank_id: usize) -> ShardGeometry {
     }
 }
 
-/// Materialize rank `rank_id`'s initial data for `plan` from `seed`.
-pub fn distribute<T: Scalar>(plan: &DistPlan, rank_id: usize, seed: u64) -> RankData<T> {
+/// Materialize rank `rank_id`'s initial data for `plan`: the `In`
+/// shard from `seed` — unless `carried_in` already holds it (a network
+/// layer fed by redistribution) — and the `Ker` shard from `ker_seed`
+/// (`seed ^ KER_SEED_XOR` for a single layer).
+pub fn distribute<T: Scalar>(
+    plan: &DistPlan,
+    rank_id: usize,
+    seed: u64,
+    ker_seed: u64,
+    carried_in: Option<Tensor4<T>>,
+) -> RankData<T> {
     let p = &plan.problem;
     let w = plan.w;
     let geom = shard_geometry(plan, rank_id);
@@ -173,15 +182,16 @@ pub fn distribute<T: Scalar>(plan: &DistPlan, rank_id: usize, seed: u64) -> Rank
     let out_slice = Tensor4::zeros(Shape4::new(w.wb, w.wk, w.ww, w.wh));
 
     // --- In sub-slice: channels of the slice split over the k fiber. ---
-    let global_in_shape = Shape4::new(p.nb, p.nc, p.in_w(), p.in_h());
     let in_origin = geom.in_region.lo;
-    let [eb, ec, ex, ey] = geom.in_region.extents();
-    let in_shard = Tensor4::random_window(
-        Shape4::new(eb, ec, ex, ey),
-        seed,
-        in_origin,
-        global_in_shape,
-    );
+    let in_shard = carried_in.unwrap_or_else(|| {
+        let [eb, ec, ex, ey] = geom.in_region.extents();
+        Tensor4::random_window(
+            Shape4::new(eb, ec, ex, ey),
+            seed,
+            in_origin,
+            Shape4::new(p.nb, p.nc, p.in_w(), p.in_h()),
+        )
+    });
 
     // --- Ker sub-slice: channels of the slice split over the bhw fiber. ---
     let global_ker_shape = Shape4::new(p.nk, p.nc, p.nr, p.ns);
@@ -189,7 +199,7 @@ pub fn distribute<T: Scalar>(plan: &DistPlan, rank_id: usize, seed: u64) -> Rank
     let [kk, kc, kr, ks] = geom.ker_region.extents();
     let ker_shard = Tensor4::random_window(
         Shape4::new(kk, kc, kr, ks),
-        seed ^ KER_SEED_XOR,
+        ker_seed,
         ker_origin,
         global_ker_shape,
     );
@@ -244,7 +254,7 @@ mod tests {
         let p = plan.problem;
         let (input, ker) = workload::<f32>(&p, 99);
         for rank in 0..16 {
-            let rd = distribute::<f32>(&plan, rank, 99);
+            let rd = distribute::<f32>(&plan, rank, 99, 99 ^ KER_SEED_XOR, None);
             // Every In shard element equals the global tensor's value.
             for idx in rd.in_shard.shape().full_range().iter() {
                 let g = [
@@ -281,7 +291,7 @@ mod tests {
                     for ih in 0..g.ph {
                         for iw in 0..g.pw {
                             let id = grid.index_of(&[ib, ik, ic, ih, iw]);
-                            let rd = distribute::<f32>(&plan, id, 1);
+                            let rd = distribute::<f32>(&plan, id, 1, 1 ^ KER_SEED_XOR, None);
                             let (lo, hi) = rd.ker_c_range;
                             for slot in &mut covered[lo..hi] {
                                 assert!(!*slot, "channel covered twice");
@@ -307,7 +317,7 @@ mod tests {
                         let mut covered = vec![false; plan.w.wc];
                         for ik in 0..g.pk {
                             let id = grid.index_of(&[ib, ik, ic, ih, iw]);
-                            let rd = distribute::<f32>(&plan, id, 1);
+                            let rd = distribute::<f32>(&plan, id, 1, 1 ^ KER_SEED_XOR, None);
                             let (lo, hi) = rd.in_c_range;
                             for slot in &mut covered[lo..hi] {
                                 assert!(!*slot);
@@ -355,7 +365,7 @@ mod tests {
         let plan = plan16();
         for r in 0..16 {
             let geom = shard_geometry(&plan, r);
-            let data = distribute::<f32>(&plan, r, 7);
+            let data = distribute::<f32>(&plan, r, 7, 7 ^ KER_SEED_XOR, None);
             assert_eq!(geom.coords, data.coords);
             assert_eq!(geom.bhw_pos, data.bhw_pos);
             assert_eq!(geom.in_region.lo, data.in_origin);
@@ -378,7 +388,7 @@ mod tests {
             .unwrap();
         if plan.grid.ph == 1 && plan.grid.pw == 1 {
             let total: usize = (0..8)
-                .map(|r| distribute::<f32>(&plan, r, 0).footprint())
+                .map(|r| distribute::<f32>(&plan, r, 0, KER_SEED_XOR, None).footprint())
                 .sum();
             let expect = p.size_out() as usize + p.size_in() as usize + p.size_ker() as usize;
             assert_eq!(total, expect);

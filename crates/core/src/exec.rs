@@ -1,31 +1,19 @@
-//! Distributed execution: the tiled loop with the paper's
-//! rotating-broadcast communication schedule, and the high-level
-//! [`DistConv`] driver.
+//! The single-layer façade: [`DistConv`] runs one [`DistPlan`] as a
+//! one-layer [`NetworkPlan`] through the network driver, and reports
+//! the run in single-layer terms ([`DistConvReport`]).
 
-use crate::distribution::{self, distribute, shard_geometry, RankData};
-use crate::layout::{forward_layer, LayerShards, RankLayout};
 use crate::model::{eq10_aggregate, expected_volumes, ExpectedVolumes};
-use distconv_conv::kernels::{conv2d_direct_par, workload};
-use distconv_cost::planner::GridShape;
-use distconv_cost::{DistPlan, Planner};
+use crate::network::{execute, NetworkPlan, NetworkReport};
+use crate::recover::{recover, DegradeInfo, Recovery};
+use distconv_cost::DistPlan;
 use distconv_par::CommMode;
-use distconv_simnet::{Machine, MachineConfig, Rank, RunError, StatsSnapshot};
+use distconv_simnet::{MachineConfig, RunError, StatsSnapshot};
 use distconv_tensor::{Scalar, Tensor4};
-use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, SpanEvent, SpanKind, Tolerance};
-
-/// Maximum checkpoint/restart attempts for a crash-injected step.
-pub const MAX_STEP_RETRIES: u32 = 3;
+use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, Tolerance};
 
 /// Errors from the distributed driver.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CoreError {
-    /// The plan's grid does not multiply out to the machine size.
-    GridMismatch {
-        /// Ranks the grid implies.
-        grid: usize,
-        /// Ranks the machine was given.
-        machine: usize,
-    },
     /// The distributed result disagreed with the sequential reference.
     VerificationFailed {
         /// Worst relative error observed.
@@ -39,9 +27,6 @@ pub enum CoreError {
 impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CoreError::GridMismatch { grid, machine } => {
-                write!(f, "plan grid has {grid} ranks but machine has {machine}")
-            }
             CoreError::VerificationFailed { max_rel_err } => {
                 write!(
                     f,
@@ -59,23 +44,6 @@ impl From<RunError> for CoreError {
     fn from(e: RunError) -> Self {
         CoreError::Machine(e)
     }
-}
-
-/// What degraded-grid recovery did: the grid shrink and the checkpoint
-/// redistribution it required (see [`DistConv::run_recovering`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradeInfo {
-    /// The grid the run started on.
-    pub old_grid: GridShape,
-    /// The shrunken grid the run finished on.
-    pub new_grid: GridShape,
-    /// Ranks declared dead (crashed / OOM'd — *not* merely starved).
-    pub dead_ranks: Vec<usize>,
-    /// Elements of checkpoint state a survivor had to fetch from peers
-    /// because its new shard is not covered by its old one. Accounted
-    /// separately from both `stats` (algorithmic) and `retry_elems`
-    /// (aborted-attempt traffic), like ARQ overhead.
-    pub redist_elems: u64,
 }
 
 /// Everything a distributed run reports.
@@ -100,7 +68,8 @@ pub struct DistConvReport {
     /// Lamport communication makespan (dependency-aware).
     pub makespan: f64,
     /// Whether a crashed attempt was detected and the step re-run
-    /// (only [`DistConv::run_recovering`] can set this).
+    /// (only [`DistConv::run_recovering`] can set this). This and the
+    /// four fields after it are the run's [`Recovery`] record.
     pub recovered: bool,
     /// Number of aborted attempts before this report's successful run.
     pub retries: u32,
@@ -123,6 +92,30 @@ pub struct DistConvReport {
 }
 
 impl DistConvReport {
+    /// The single-layer view of a one-layer network run, with the
+    /// recovery record's markers appended to the trace.
+    fn new(net: NetworkReport, rec: Recovery) -> Self {
+        let plan = net.plan.layers[0];
+        let mut trace = net.trace;
+        rec.mark(&mut trace);
+        DistConvReport {
+            plan,
+            stats: net.stats,
+            expected: expected_volumes(&plan),
+            peak_mem: net.peak_mem,
+            verified: net.verified,
+            max_rel_err: net.max_rel_err,
+            sim_time: net.sim_time,
+            makespan: net.makespan,
+            recovered: rec.recovered(),
+            retries: rec.retries,
+            retry_elems: rec.retry_elems,
+            degraded: rec.degrade.is_some(),
+            degrade: rec.degrade,
+            trace,
+        }
+    }
+
     /// Measured inter-rank volume (elements).
     pub fn measured_volume(&self) -> u64 {
         self.stats.total_elems()
@@ -221,77 +214,50 @@ impl<T: Scalar> DistConv<T> {
     /// if the machine fails (see [`DistConv::run_verified`] /
     /// [`DistConv::run_recovering`] for the non-panicking forms).
     pub fn run(&self, seed: u64) -> DistConvReport {
-        self.run_inner(self.machine_cfg(), seed, false)
+        self.run_with_outputs(seed)
+            .map(|(r, _)| r)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Execute and verify every output element against the sequential
-    /// reference ([`conv2d_direct_par`]). Machine failures (rank crash,
-    /// deadlock, memory over-commit) surface as [`CoreError::Machine`]
-    /// with every failed rank enumerated.
+    /// reference. Machine failures (rank crash, deadlock, memory
+    /// over-commit) surface as [`CoreError::Machine`] with every failed
+    /// rank enumerated.
     pub fn run_verified(&self, seed: u64) -> Result<DistConvReport, CoreError> {
-        self.run_inner(self.machine_cfg(), seed, true)
+        let (net, _) = execute::<T>(&self.network(), seed, self.machine_cfg(), self.comm, true)?;
+        Ok(DistConvReport::new(net, Recovery::default()))
     }
 
-    /// Execute with verification and step-level checkpoint/restart: on
-    /// a detected fault-injected rank crash, restart from the last
-    /// consistent state (the step input, regenerable from `seed`) with
-    /// transient rank faults cleared — modelling a replaced process on
-    /// the same faulty network — and report `recovered: true` with the
-    /// aborted attempts' traffic in `retry_elems`.
-    ///
-    /// A *persistent* crash survives the retry-time fault clearing, so
-    /// [`MAX_STEP_RETRIES`] is eventually exhausted. Rather than fail,
-    /// the driver then degrades: it re-plans the grid over the
-    /// surviving ranks, redistributes the checkpoint onto the shrunken
-    /// grid (volume accounted in [`DegradeInfo::redist_elems`], like
-    /// ARQ overhead), finishes the run there, and reports
-    /// `degraded: true` with old and new grids.
+    /// Execute with verification under the step recovery policy of
+    /// [`mod@crate::recover`]: a detected fault-injected rank crash restarts
+    /// the step (`recovered: true`, the aborted attempts' traffic in
+    /// `retry_elems`); a *persistent* crash that exhausts
+    /// [`crate::MAX_STEP_RETRIES`] degrades to a grid re-planned over
+    /// the survivors (`degraded: true`, details in `degrade`, with the
+    /// report's `plan` the re-planned one).
     pub fn run_recovering(&self, seed: u64) -> Result<DistConvReport, CoreError> {
-        let mut cfg = self.machine_cfg();
-        let mut retries = 0u32;
-        let mut wasted = 0u64;
-        loop {
-            match self.run_inner(cfg, seed, true) {
-                Err(CoreError::Machine(e))
-                    if e.has_injected_crash() && retries < MAX_STEP_RETRIES =>
-                {
-                    retries += 1;
-                    wasted += e.wasted_elems;
-                    cfg.faults = cfg.faults.without_rank_faults();
-                }
-                Err(CoreError::Machine(e)) if e.has_injected_crash() => {
-                    // Retries exhausted with the crash still firing: the
-                    // rank is permanently gone. Shrink the grid over the
-                    // survivors and finish degraded.
-                    return self.run_degraded(cfg, seed, retries + 1, wasted + e.wasted_elems, &e);
-                }
-                Err(e) => return Err(e),
-                Ok(mut r) => {
-                    r.recovered = retries > 0;
-                    r.retries = retries;
-                    r.retry_elems = wasted;
-                    // Mark each aborted attempt in the trace: a restart
-                    // is a schedule-level event the timeline should
-                    // show, with the wasted traffic on the last marker.
-                    for attempt in 0..retries {
-                        r.trace.push(
-                            0,
-                            SpanEvent {
-                                kind: SpanKind::CheckpointRestore,
-                                step: attempt as u64,
-                                peer: None,
-                                tag: 0,
-                                elems: if attempt + 1 == retries { wasted } else { 0 },
-                                start_ns: 0,
-                                dur_ns: 0,
-                            },
-                        );
-                    }
-                    return Ok(r);
-                }
-            }
-        }
+        let ((net, _), rec) = recover(
+            &self.network(),
+            self.machine_cfg(),
+            Some(NetworkPlan::plan),
+            |plan, cfg| execute::<T>(plan, seed, cfg, self.comm, true),
+        )?;
+        Ok(DistConvReport::new(net, rec))
+    }
+
+    /// Execute the plan, unverified, and also return every rank's
+    /// output (the reduced `Out` slices on the `i_c = 0` plane). Used
+    /// by the overlap proptests to compare the two comm modes bitwise.
+    pub fn run_with_outputs(
+        &self,
+        seed: u64,
+    ) -> Result<(DistConvReport, Vec<RankOut<T>>), CoreError> {
+        let (net, outs) = execute(&self.network(), seed, self.machine_cfg(), self.comm, false)?;
+        Ok((DistConvReport::new(net, Recovery::default()), outs))
+    }
+
+    fn network(&self) -> NetworkPlan {
+        NetworkPlan::from_layers(vec![self.plan])
     }
 
     fn machine_cfg(&self) -> MachineConfig {
@@ -301,262 +267,6 @@ impl<T: Scalar> DistConv<T> {
         }
         cfg
     }
-
-    /// Execute the plan and also return every rank's output (the
-    /// reduced `Out` slices on the `i_c = 0` plane). Used by the
-    /// overlap proptests to compare the two comm modes bitwise.
-    pub fn run_with_outputs(
-        &self,
-        seed: u64,
-    ) -> Result<(DistConvReport, Vec<RankOut<T>>), CoreError> {
-        self.run_full(self.plan, self.machine_cfg(), seed, false)
-    }
-
-    fn run_inner(
-        &self,
-        cfg: MachineConfig,
-        seed: u64,
-        verify: bool,
-    ) -> Result<DistConvReport, CoreError> {
-        self.run_full(self.plan, cfg, seed, verify).map(|(r, _)| r)
-    }
-
-    /// Retries exhausted with a persistent crash: re-plan over the
-    /// survivors, account the checkpoint redistribution, and finish the
-    /// run on the shrunken grid. `attempts` counts every aborted
-    /// attempt (including the one that exhausted the retries) and
-    /// `wasted` their cumulative traffic.
-    fn run_degraded(
-        &self,
-        cfg: MachineConfig,
-        seed: u64,
-        attempts: u32,
-        wasted: u64,
-        err: &RunError,
-    ) -> Result<DistConvReport, CoreError> {
-        let old_plan = self.plan;
-        let dead = err.dead_ranks();
-        let survivors: Vec<usize> = (0..old_plan.grid.total())
-            .filter(|r| !dead.contains(r))
-            .collect();
-
-        // Re-plan over P' survivors. P' itself may be unfactorable for
-        // this problem (e.g. a prime), so scan downward and idle the
-        // remainder — a smaller feasible grid beats no run at all.
-        let new_plan = (1..=survivors.len())
-            .rev()
-            .find_map(|p| {
-                Planner::new(
-                    old_plan.problem,
-                    distconv_cost::MachineSpec::new(p, old_plan.machine.mem),
-                )
-                .plan()
-                .ok()
-            })
-            .ok_or_else(|| CoreError::Machine(err.clone()))?;
-
-        // Checkpoint redistribution: survivor j restarts as new rank j.
-        // Its checkpoint shard covers its *old* global region; whatever
-        // the new shard needs beyond the overlap must be fetched from
-        // peers (every element is held by some survivor — shards are
-        // pure functions of seed and global coordinates).
-        let mut redist_elems = 0u64;
-        for (new_rank, &old_rank) in survivors.iter().enumerate().take(new_plan.grid.total()) {
-            let old = shard_geometry(&old_plan, old_rank);
-            let new = shard_geometry(&new_plan, new_rank);
-            let in_hit = new
-                .in_region
-                .intersect(&old.in_region)
-                .map_or(0, |r| r.len());
-            let ker_hit = new
-                .ker_region
-                .intersect(&old.ker_region)
-                .map_or(0, |r| r.len());
-            redist_elems += (new.in_region.len() - in_hit) as u64;
-            redist_elems += (new.ker_region.len() - ker_hit) as u64;
-        }
-
-        // The dead rank no longer exists on the shrunken machine: drop
-        // its faults rather than crash a (re-numbered) innocent rank.
-        let mut cfg = cfg;
-        cfg.faults.crash = None;
-        if cfg
-            .faults
-            .straggler
-            .is_some_and(|s| s.rank >= new_plan.grid.total())
-        {
-            cfg.faults.straggler = None;
-        }
-
-        let (mut r, _) = self.run_full(new_plan, cfg, seed, true)?;
-        r.recovered = true;
-        r.retries = attempts;
-        r.retry_elems = wasted;
-        r.degraded = true;
-        r.degrade = Some(DegradeInfo {
-            old_grid: old_plan.grid,
-            new_grid: new_plan.grid,
-            dead_ranks: dead.clone(),
-            redist_elems,
-        });
-        // Timeline markers on rank 0: one restart per aborted attempt
-        // (wasted traffic on the last), the death verdicts, and the
-        // redistribution onto the shrunken grid.
-        for attempt in 0..attempts {
-            r.trace.push(
-                0,
-                SpanEvent {
-                    kind: SpanKind::CheckpointRestore,
-                    step: attempt as u64,
-                    peer: None,
-                    tag: 0,
-                    elems: if attempt + 1 == attempts { wasted } else { 0 },
-                    start_ns: 0,
-                    dur_ns: 0,
-                },
-            );
-        }
-        for &d in &dead {
-            r.trace.push(
-                0,
-                SpanEvent {
-                    kind: SpanKind::FailureDetect,
-                    step: attempts as u64,
-                    peer: Some(d),
-                    tag: 0,
-                    elems: 0,
-                    start_ns: 0,
-                    dur_ns: 0,
-                },
-            );
-        }
-        r.trace.push(
-            0,
-            SpanEvent {
-                kind: SpanKind::Redistribute,
-                step: attempts as u64,
-                peer: None,
-                tag: 0,
-                elems: redist_elems,
-                start_ns: 0,
-                dur_ns: 0,
-            },
-        );
-        Ok(r)
-    }
-
-    fn run_full(
-        &self,
-        plan: DistPlan,
-        cfg: MachineConfig,
-        seed: u64,
-        verify: bool,
-    ) -> Result<(DistConvReport, Vec<RankOut<T>>), CoreError> {
-        let comm = self.comm;
-        let procs = plan.grid.total();
-        let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
-            rank_body::<T>(rank, &plan, seed, comm)
-        })?;
-
-        let (verified, max_rel_err) = if verify {
-            let worst = verify_results::<T>(&plan, seed, &report.results);
-            let tol = verification_tolerance::<T>(&plan);
-            if worst > tol {
-                return Err(CoreError::VerificationFailed { max_rel_err: worst });
-            }
-            (true, worst)
-        } else {
-            (false, 0.0)
-        };
-
-        Ok((
-            DistConvReport {
-                plan,
-                expected: expected_volumes(&plan),
-                peak_mem: report.peak_mem,
-                verified,
-                max_rel_err,
-                sim_time: report.sim_time,
-                makespan: report.makespan,
-                stats: report.stats,
-                recovered: false,
-                retries: 0,
-                retry_elems: 0,
-                degraded: false,
-                degrade: None,
-                trace: report.trace,
-            },
-            report.results.into_iter().map(|(out, ())| out).collect(),
-        ))
-    }
-}
-
-/// Tolerance scaled to the reduction length and element type: partial
-/// sums accumulated in different orders diverge by `O(ε·Σ|terms|)`.
-fn verification_tolerance<T: Scalar>(plan: &DistPlan) -> f64 {
-    let p = &plan.problem;
-    let terms = (p.nc * p.nr * p.ns) as f64;
-    let eps = if std::mem::size_of::<T>() == 4 {
-        1e-6
-    } else {
-        1e-14
-    };
-    eps * terms.max(1.0) * 8.0
-}
-
-/// One rank's execution of the distributed CNN algorithm.
-fn rank_body<T: Scalar>(
-    rank: &Rank<T>,
-    plan: &DistPlan,
-    seed: u64,
-    comm: CommMode,
-) -> (RankOut<T>, ()) {
-    let RankData {
-        coords,
-        bhw_pos: _,
-        mut out_slice,
-        out_origin,
-        in_shard,
-        in_origin,
-        in_c_range: _,
-        ker_shard,
-        ker_origin,
-        ker_c_range: _,
-    } = distribute::<T>(plan, rank.id(), seed);
-    let _shard_lease = rank
-        .mem()
-        .lease_or_panic((out_slice.len() + in_shard.len() + ker_shard.len()) as u64);
-
-    let layout = RankLayout::new(plan, rank);
-    let shards = LayerShards {
-        in_shard: &in_shard,
-        in_origin,
-        ker_shard: &ker_shard,
-        ker_origin,
-        out_origin,
-    };
-    forward_layer(
-        plan,
-        rank,
-        &layout,
-        &shards,
-        distconv_par::LocalKernel::from_env(),
-        comm,
-        &mut out_slice,
-    );
-
-    (
-        RankOut {
-            coords,
-            out_origin,
-            slice: if layout.ic() == 0 {
-                Some(out_slice)
-            } else {
-                None
-            },
-        },
-        (),
-    )
 }
 
 /// Per-rank result: the final `Out` slice (only on `i_c = 0` ranks).
@@ -569,30 +279,12 @@ pub struct RankOut<T> {
     pub slice: Option<Tensor4<T>>,
 }
 
-/// Compare every `i_c = 0` rank's slice against the sequential
-/// reference; returns the worst relative error.
-fn verify_results<T: Scalar>(plan: &DistPlan, seed: u64, results: &[(RankOut<T>, ())]) -> f64 {
-    let p = plan.problem;
-    let (input, ker) = workload::<T>(&p, seed);
-    let reference = conv2d_direct_par(&p, &input, &ker);
-    let mut worst = 0.0f64;
-    for (out, ()) in results {
-        let Some(slice) = &out.slice else { continue };
-        let r = distribution::out_range(plan, out.coords);
-        let ref_buf = reference.pack_range(r);
-        for (a, b) in slice.as_slice().iter().zip(ref_buf.iter()) {
-            let (x, y) = (a.to_f64(), b.to_f64());
-            let denom = x.abs().max(y.abs()).max(1.0);
-            worst = worst.max((x - y).abs() / denom);
-        }
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recover::MAX_STEP_RETRIES;
     use distconv_cost::{Conv2dProblem, MachineSpec, Planner};
+    use distconv_trace::SpanKind;
 
     fn run_plan(p: Conv2dProblem, procs: usize, mem: usize) -> DistConvReport {
         let plan = Planner::new(p, MachineSpec::new(procs, mem))

@@ -17,7 +17,7 @@
 //!    sub-sliced along `c` over the `P_b·P_h·P_w` ranks that share it;
 //!    its `In` slice sub-sliced along `c` over the `P_k` ranks that
 //!    share it.
-//! 3. **Execute** ([`exec`]) — the tiled loop of Listing 3 with loads
+//! 3. **Execute** ([`network`]) — the tiled loop of Listing 3 with loads
 //!    replaced by the paper's rotating-broadcast schedule: for each
 //!    channel step, the owner in the `In` distribution broadcasts the
 //!    `In` tile along the `k` fiber, and the owner in the `Ker`
@@ -48,16 +48,18 @@ pub(crate) mod fwd;
 pub mod layout;
 pub mod model;
 pub mod network;
+pub mod recover;
 pub mod train;
 
 pub use batch::{batch_seed, dispatch_batch, BatchRun};
-pub use exec::{CoreError, DegradeInfo, DistConv, DistConvReport, MAX_STEP_RETRIES};
+pub use exec::{CoreError, DistConv, DistConvReport};
 pub use layout::{consumer_in_window, producer_out_window, RankLayout};
 pub use model::{expected_volumes, ExpectedVolumes};
 pub use network::{
-    redistribution_volume, run_network, run_network_with_outputs, NetworkError, NetworkOut,
-    NetworkPlan, NetworkReport,
+    redistribution_volume, run_network, run_network_with_outputs, NetworkError, NetworkPlan,
+    NetworkReport,
 };
+pub use recover::{recover, DegradeInfo, Recovery, MAX_STEP_RETRIES};
 pub use train::{
     expected_backward_volumes, run_training_step, run_training_step_recovering, BackwardVolumes,
     TrainReport,

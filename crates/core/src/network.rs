@@ -20,17 +20,18 @@
 //! changing shape mid-network — an effect the single-layer paper does
 //! not model, surfaced here as a first-class reported cost.
 
-use crate::distribution::{distribute, out_range, RankData};
-use crate::exec::CoreError;
+use crate::distribution::{distribute, out_range, RankData, KER_SEED_XOR};
+use crate::exec::{CoreError, RankOut};
 use crate::layout::{
     consumer_in_window, forward_layer, producer_out_window, redistribute_to_next, LayerShards,
     RankLayout,
 };
 use distconv_conv::kernels::{conv2d_direct_par, in_shape, ker_shape};
 use distconv_cost::{Conv2dProblem, DistPlan, MachineSpec, PlanError, Planner};
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
-use distconv_tensor::{Scalar, Shape4, Tensor4};
-use distconv_trace::{ConformanceReport, ConformanceRow, Tolerance};
+use distconv_tensor::{Scalar, Tensor4};
+use distconv_trace::{ConformanceReport, ConformanceRow, RunTrace, Tolerance};
 
 const TAG_REDIST_BASE: u64 = 0x0E00_0000;
 
@@ -144,7 +145,9 @@ impl NetworkPlan {
         Ok(Self::from_layers(layers))
     }
 
-    fn from_layers(layers: Vec<DistPlan>) -> Self {
+    /// The network over already-planned `layers` (a single
+    /// [`DistPlan`] becomes a one-layer network).
+    pub(crate) fn from_layers(layers: Vec<DistPlan>) -> Self {
         let redist_volumes = layers
             .windows(2)
             .map(|w| redistribution_volume(&w[0], &w[1]))
@@ -289,14 +292,21 @@ pub struct NetworkReport {
     pub expected_layers: Vec<u128>,
     /// Exact expected redistribution volume.
     pub expected_redist: u128,
-    /// Final output verified against the chained sequential reference.
+    /// Final output verified against the chained sequential reference
+    /// (`false` only from the unverified single-layer façade runs).
     pub verified: bool,
+    /// Worst relative error vs the reference (0 when unverified).
+    pub max_rel_err: f64,
+    /// Per-rank peak memory (elements).
+    pub peak_mem: Vec<u64>,
     /// Largest per-rank peak memory.
     pub max_peak_mem: u64,
     /// Simulated α–β time (volume-based estimate).
     pub sim_time: f64,
     /// Lamport communication makespan.
     pub makespan: f64,
+    /// Per-rank span trace (empty when tracing was disabled).
+    pub trace: RunTrace,
 }
 
 impl NetworkReport {
@@ -342,16 +352,10 @@ impl NetworkReport {
     }
 }
 
-/// One rank's share of the final layer's output: its grid coordinates,
-/// the global `[b, k, x, y]` origin of its reduced `Out` slice, and the
-/// slice itself. Only ranks on the `i_c = 0` plane produce one; across
-/// those ranks the slices exactly partition the output domain.
-pub type NetworkOut<T> = ([usize; 5], [usize; 4], Tensor4<T>);
-
 /// Run a network forward pass under `plan`, verifying the final layer's
-/// output against the chained sequential reference. Layer `i`'s kernel
-/// uses seed `seed ^ KER_SEED_XOR ^ i`-derived values via the usual
-/// deterministic materialization.
+/// output against the chained sequential reference. The input is
+/// materialized from `seed`, layer `i`'s kernel from
+/// `seed ^ KER_SEED_XOR ^ (i << 48)`.
 pub fn run_network<T: Scalar>(
     plan: &NetworkPlan,
     seed: u64,
@@ -361,61 +365,42 @@ pub fn run_network<T: Scalar>(
 }
 
 /// [`run_network`], additionally returning every rank's verified final
-/// output slice. The batch-dispatch entry point ([`crate::batch`])
-/// uses the slices to attribute results back to individual batch
-/// samples; everything else should keep calling [`run_network`] and
-/// skip materializing them.
+/// output (a slice on the `i_c = 0` plane, whose slices exactly
+/// partition the output domain). The batch-dispatch entry point
+/// ([`crate::batch`]) uses the slices to attribute results back to
+/// individual batch samples; everything else should keep calling
+/// [`run_network`].
 pub fn run_network_with_outputs<T: Scalar>(
     plan: &NetworkPlan,
     seed: u64,
     cfg: MachineConfig,
-) -> Result<(NetworkReport, Vec<NetworkOut<T>>), CoreError> {
+) -> Result<(NetworkReport, Vec<RankOut<T>>), CoreError> {
+    execute::<T>(plan, seed, cfg, CommMode::from_env(), true)
+}
+
+/// The one forward driver: every network pass and every single-layer
+/// [`crate::DistConv`] run executes here. The local kernel is resolved
+/// from the environment once per call; `comm` comes from the caller.
+/// With `verify` off the sequential reference is skipped entirely (the
+/// report says `verified: false`).
+pub(crate) fn execute<T: Scalar>(
+    plan: &NetworkPlan,
+    seed: u64,
+    cfg: MachineConfig,
+    comm: CommMode,
+    verify: bool,
+) -> Result<(NetworkReport, Vec<RankOut<T>>), CoreError> {
+    let kernel = LocalKernel::from_env();
     let procs = plan.layers[0].grid.total();
-    let report =
-        Machine::try_run::<T, _, _>(procs, cfg, |rank| network_rank_body::<T>(rank, plan, seed))?;
-
-    // --- Sequential reference: chain the layers. ---
-    let first = plan.layers[0].problem;
-    let mut act = Tensor4::<T>::random(in_shape(&first), seed);
-    for (i, lp) in plan.layers.iter().enumerate() {
-        let ker = Tensor4::<T>::random(ker_shape(&lp.problem), layer_ker_seed(seed, i));
-        act = conv2d_direct_par(&lp.problem, &act, &ker);
-        if i + 1 < plan.layers.len() {
-            // Out [b,k,w,h] becomes In [b,c,x,y] unchanged.
-            let next = plan.layers[i + 1].problem;
-            debug_assert_eq!(act.shape(), in_shape(&next));
-        }
-    }
-    let last = *plan.layers.last().expect("non-empty");
-    let tol = {
-        let depth: usize = plan
-            .layers
-            .iter()
-            .map(|l| l.problem.nc * l.problem.nr * l.problem.ns)
-            .sum();
-        let eps = if std::mem::size_of::<T>() == 4 {
-            1e-5
-        } else {
-            1e-12
-        };
-        eps * depth as f64 * 8.0
+    let run = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
+        network_rank_body::<T>(rank, plan, seed, kernel, comm)
+    })?;
+    let max_rel_err = if verify {
+        verify_outputs(plan, seed, &run.results)?
+    } else {
+        0.0
     };
-    let mut worst = 0.0f64;
-    for (coords, origin, slice) in report.results.iter().flatten() {
-        let _ = origin;
-        let r = out_range(&last, *coords);
-        let expect = act.pack_range(r);
-        for (a, b) in slice.as_slice().iter().zip(expect.iter()) {
-            let (x, y) = (a.to_f64(), b.to_f64());
-            let denom = x.abs().max(y.abs()).max(1.0);
-            worst = worst.max((x - y).abs() / denom);
-        }
-    }
-    if worst > tol {
-        return Err(CoreError::VerificationFailed { max_rel_err: worst });
-    }
-
-    let net_report = NetworkReport {
+    let report = NetworkReport {
         expected_layers: plan
             .layers
             .iter()
@@ -423,60 +408,103 @@ pub fn run_network_with_outputs<T: Scalar>(
             .collect(),
         expected_redist: plan.total_redist(),
         plan: plan.clone(),
-        verified: true,
-        max_peak_mem: report.peak_mem.iter().copied().max().unwrap_or(0),
-        sim_time: report.sim_time,
-        makespan: report.makespan,
-        stats: report.stats,
+        verified: verify,
+        max_rel_err,
+        max_peak_mem: run.max_peak_mem(),
+        peak_mem: run.peak_mem,
+        sim_time: run.sim_time,
+        makespan: run.makespan,
+        stats: run.stats,
+        trace: run.trace,
     };
-    let outputs = report.results.into_iter().flatten().collect();
-    Ok((net_report, outputs))
+    Ok((report, run.results))
 }
 
+/// The one verification policy: compare every output slice against the
+/// chained sequential reference ([`conv2d_direct_par`] layer by layer)
+/// and return the worst relative error, or
+/// [`CoreError::VerificationFailed`] above the tolerance. Partial sums
+/// accumulated in different orders diverge by `O(ε·Σ|terms|)`, so the
+/// tolerance scales with the network's total reduction depth
+/// `Σ N_c·N_r·N_s` and the element type's precision.
+pub(crate) fn verify_outputs<T: Scalar>(
+    plan: &NetworkPlan,
+    seed: u64,
+    outputs: &[RankOut<T>],
+) -> Result<f64, CoreError> {
+    let first = plan.layers[0].problem;
+    let mut act = Tensor4::<T>::random(in_shape(&first), seed);
+    for (i, lp) in plan.layers.iter().enumerate() {
+        let ker = Tensor4::<T>::random(ker_shape(&lp.problem), layer_ker_seed(seed, i));
+        // Out [b,k,w,h] becomes the next layer's In [b,c,x,y] unchanged.
+        act = conv2d_direct_par(&lp.problem, &act, &ker);
+    }
+    let last = plan
+        .layers
+        .last()
+        .expect("a network has at least one layer");
+    let mut worst = 0.0f64;
+    for out in outputs {
+        let Some(slice) = &out.slice else { continue };
+        let expect = act.pack_range(out_range(last, out.coords));
+        for (a, b) in slice.as_slice().iter().zip(expect.iter()) {
+            let (x, y) = (a.to_f64(), b.to_f64());
+            let denom = x.abs().max(y.abs()).max(1.0);
+            worst = worst.max((x - y).abs() / denom);
+        }
+    }
+    let depth: usize = plan
+        .layers
+        .iter()
+        .map(|l| l.problem.nc * l.problem.nr * l.problem.ns)
+        .sum();
+    let eps = if std::mem::size_of::<T>() == 4 {
+        1e-6
+    } else {
+        1e-14
+    };
+    if worst > eps * depth as f64 * 8.0 {
+        return Err(CoreError::VerificationFailed { max_rel_err: worst });
+    }
+    Ok(worst)
+}
+
+/// Kernel seed of layer `layer`; layer 0's is the single-layer
+/// workload's `seed ^ KER_SEED_XOR`.
 fn layer_ker_seed(seed: u64, layer: usize) -> u64 {
-    seed ^ crate::distribution::KER_SEED_XOR ^ ((layer as u64) << 48)
+    seed ^ KER_SEED_XOR ^ ((layer as u64) << 48)
 }
 
-type NetOut<T> = Option<([usize; 5], [usize; 4], Tensor4<T>)>;
-
-fn network_rank_body<T: Scalar>(rank: &Rank<T>, plan: &NetworkPlan, seed: u64) -> NetOut<T> {
-    let mut carried_in: Option<Tensor4<T>> = None; // shard for the next layer
-
-    let mut last_out: NetOut<T> = None;
+fn network_rank_body<T: Scalar>(
+    rank: &Rank<T>,
+    plan: &NetworkPlan,
+    seed: u64,
+    kernel: LocalKernel,
+    comm: CommMode,
+) -> RankOut<T> {
+    // The In shard of the layer after the current one, once
+    // redistribution has produced it; layer 0's comes from the seed.
+    let mut carried_in: Option<Tensor4<T>> = None;
+    let mut last_out = None;
     for (li, lp) in plan.layers.iter().enumerate() {
         let RankData {
             coords,
-            bhw_pos,
+            bhw_pos: _,
             mut out_slice,
             out_origin,
-            in_shard: seed_in_shard,
+            in_shard,
             in_origin,
             in_c_range: _,
-            ker_shard: _,
+            ker_shard,
             ker_origin,
             ker_c_range: _,
-        } = distribute::<T>(lp, rank.id(), seed);
-        // Layer kernels use per-layer seeds; the distribution helper
-        // materialized layer-0-seeded kernels — rebuild with the right
-        // seed (cheap; shapes identical).
-        let ker_shard = {
-            let shape = {
-                let (kc_lo, kc_hi) = crate::distribution::ker_c_dist(lp).range(bhw_pos);
-                Shape4::new(lp.w.wk, kc_hi - kc_lo, lp.problem.nr, lp.problem.ns)
-            };
-            Tensor4::<T>::random_window(
-                shape,
-                layer_ker_seed(seed, li),
-                ker_origin,
-                ker_shape(&lp.problem),
-            )
-        };
-        // First layer: input from the seed; later layers: from
-        // redistribution.
-        let in_shard = match carried_in.take() {
-            Some(sh) => sh,
-            None => seed_in_shard,
-        };
+        } = distribute::<T>(
+            lp,
+            rank.id(),
+            seed,
+            layer_ker_seed(seed, li),
+            carried_in.take(),
+        );
         let _lease = rank
             .mem()
             .lease_or_panic((out_slice.len() + in_shard.len() + ker_shard.len()) as u64);
@@ -489,35 +517,29 @@ fn network_rank_body<T: Scalar>(rank: &Rank<T>, plan: &NetworkPlan, seed: u64) -
             ker_origin,
             out_origin,
         };
-        forward_layer(
-            lp,
-            rank,
-            &layout,
-            &shards,
-            distconv_par::LocalKernel::from_env(),
-            distconv_par::CommMode::from_env(),
-            &mut out_slice,
-        );
+        forward_layer(lp, rank, &layout, &shards, kernel, comm, &mut out_slice);
 
-        if li + 1 < plan.layers.len() {
-            let next = &plan.layers[li + 1];
-            carried_in = Some(redistribute_to_next(
-                rank,
-                lp,
-                next,
-                &out_slice,
-                out_origin,
-                TAG_REDIST_BASE + li as u64,
-            ));
-        } else {
-            last_out = if layout.ic() == 0 {
-                Some((coords, out_origin, out_slice))
-            } else {
-                None
-            };
+        match plan.layers.get(li + 1) {
+            Some(next) => {
+                carried_in = Some(redistribute_to_next(
+                    rank,
+                    lp,
+                    next,
+                    &out_slice,
+                    out_origin,
+                    TAG_REDIST_BASE + li as u64,
+                ))
+            }
+            None => {
+                last_out = Some(RankOut {
+                    coords,
+                    out_origin,
+                    slice: (layout.ic() == 0).then_some(out_slice),
+                })
+            }
         }
     }
-    last_out
+    last_out.expect("a network has at least one layer")
 }
 
 #[cfg(test)]
@@ -567,6 +589,35 @@ mod tests {
             let conf = r.conformance();
             assert!(conf.pass(), "P={procs}: {:?}", conf.failures());
         }
+    }
+
+    #[test]
+    fn verification_rejects_one_corrupted_element() {
+        // The oracle mutation test: an unverified run's outputs pass the
+        // shared check; the same outputs with one element pushed off by
+        // at least half its magnitude must not — for a one-layer plan
+        // (the DistConv façade) and the three-layer chain, both dtypes.
+        fn check<T: Scalar>(problems: &[Conv2dProblem]) {
+            let plan = NetworkPlan::plan(problems, MachineSpec::new(4, 1 << 20)).unwrap();
+            let cfg = MachineConfig::default();
+            let (r, mut outs) = execute::<T>(&plan, 13, cfg, CommMode::Overlapped, false).unwrap();
+            assert!(!r.verified);
+            verify_outputs(&plan, 13, &outs).expect("clean outputs verify");
+            let slice = outs.iter_mut().find_map(|o| o.slice.as_mut()).unwrap();
+            let mid = slice.len() / 2;
+            let x = slice.as_slice()[mid].to_f64();
+            slice.as_mut_slice()[mid] = T::from_f64(x + 1.0 + x.abs());
+            let err = verify_outputs(&plan, 13, &outs).expect_err("corruption must be caught");
+            assert!(
+                matches!(err, CoreError::VerificationFailed { max_rel_err } if max_rel_err >= 0.5),
+                "{err:?}"
+            );
+        }
+        let net = chain();
+        check::<f32>(&net[..1]);
+        check::<f64>(&net[..1]);
+        check::<f32>(&net);
+        check::<f64>(&net);
     }
 
     #[test]

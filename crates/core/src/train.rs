@@ -25,10 +25,13 @@
 //! computed exactly by [`expected_backward_volumes`] and pinned against
 //! measured counters in tests.
 
-use crate::distribution::{distribute, in_c_dist, ker_c_dist, plan_grid, RankData};
+use crate::distribution::{distribute, in_c_dist, ker_c_dist, plan_grid, RankData, KER_SEED_XOR};
 use crate::exec::CoreError;
+use crate::network::NetworkPlan;
+use crate::recover::recover;
 use distconv_conv::kernels::{grad_ker, out_shape, workload};
 use distconv_cost::DistPlan;
+use distconv_par::{CommMode, LocalKernel};
 use distconv_simnet::{Machine, MachineConfig, Rank, StatsSnapshot};
 use distconv_tensor::{conv_input_region, Range4, Scalar, Shape4, Tensor4};
 
@@ -131,8 +134,10 @@ pub fn run_training_step<T: Scalar>(
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
     let procs = plan.grid.total();
-    let report =
-        Machine::try_run::<T, _, _>(procs, cfg, |rank| train_rank_body::<T>(rank, &plan, seed))?;
+    let (kernel, comm) = (LocalKernel::from_env(), CommMode::from_env());
+    let report = Machine::try_run::<T, _, _>(procs, cfg, |rank| {
+        train_rank_body::<T>(rank, &plan, seed, kernel, comm)
+    })?;
 
     // --- Verification against sequential references. ---
     let p = plan.problem;
@@ -150,25 +155,21 @@ pub fn run_training_step<T: Scalar>(
         eps * terms * 8.0
     };
 
-    let mut forward_ok = true;
-    let mut grad_ok = true;
+    let (mut forward_err, mut grad_err) = (0.0f64, 0.0f64);
     for out in &report.results {
         if let Some(slice) = &out.out_slice {
             let rng = crate::distribution::out_range(&plan, out.coords);
             let expect = reference_out.pack_range(rng);
-            if worst_err(slice.as_slice(), &expect) > tol {
-                forward_ok = false;
-            }
+            forward_err = forward_err.max(worst_err(slice.as_slice(), &expect));
         }
         // Every rank holds a dKer shard aligned with its Ker shard.
         let expect = reference_grad.pack_range(out.grad_range);
-        if worst_err(out.grad_shard.as_slice(), &expect) > tol {
-            grad_ok = false;
-        }
+        grad_err = grad_err.max(worst_err(out.grad_shard.as_slice(), &expect));
     }
+    let (forward_ok, grad_ok) = (forward_err <= tol, grad_err <= tol);
     if !forward_ok || !grad_ok {
         return Err(CoreError::VerificationFailed {
-            max_rel_err: f64::NAN,
+            max_rel_err: forward_err.max(grad_err),
         });
     }
 
@@ -188,12 +189,12 @@ pub fn run_training_step<T: Scalar>(
     })
 }
 
-/// [`run_training_step`] with step-level checkpoint/restart: on a
-/// detected fault-injected rank crash, re-run the step from the last
-/// consistent state (the step inputs — weights, activations and
-/// upstream gradient are all regenerable from `seed`, exactly the
+/// [`run_training_step`] under the step recovery policy of
+/// [`mod@crate::recover`], without degrading: a detected fault-injected
+/// rank crash re-runs the step from its inputs (weights, activations
+/// and upstream gradient are all regenerable from `seed`, exactly the
 /// checkpointed state a real trainer restores) with transient rank
-/// faults cleared, and report `recovered: true` plus the aborted
+/// faults cleared, and reports `recovered: true` plus the aborted
 /// attempts' traffic in `retry_elems`. Link faults and stragglers
 /// persist across the restart — the network stays faulty, only the
 /// crashed process is replaced.
@@ -202,27 +203,14 @@ pub fn run_training_step_recovering<T: Scalar>(
     seed: u64,
     cfg: MachineConfig,
 ) -> Result<TrainReport, CoreError> {
-    let mut cfg = cfg;
-    let mut retries = 0u32;
-    let mut wasted = 0u64;
-    loop {
-        match run_training_step::<T>(plan, seed, cfg) {
-            Err(CoreError::Machine(e))
-                if e.has_injected_crash() && retries < crate::exec::MAX_STEP_RETRIES =>
-            {
-                retries += 1;
-                wasted += e.wasted_elems;
-                cfg.faults = cfg.faults.without_rank_faults();
-            }
-            Err(e) => return Err(e),
-            Ok(mut r) => {
-                r.recovered = retries > 0;
-                r.retries = retries;
-                r.retry_elems = wasted;
-                return Ok(r);
-            }
-        }
-    }
+    let net = NetworkPlan::from_layers(vec![plan]);
+    let (mut r, rec) = recover(&net, cfg, None, |net, cfg| {
+        run_training_step::<T>(net.layers[0], seed, cfg)
+    })?;
+    r.recovered = rec.recovered();
+    r.retries = rec.retries;
+    r.retry_elems = rec.retry_elems;
+    Ok(r)
 }
 
 fn worst_err<T: Scalar>(a: &[T], b: &[T]) -> f64 {
@@ -241,7 +229,13 @@ pub struct TrainRankOut<T> {
     pub grad_range: Range4,
 }
 
-fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> TrainRankOut<T> {
+fn train_rank_body<T: Scalar>(
+    rank: &Rank<T>,
+    plan: &DistPlan,
+    seed: u64,
+    kernel: LocalKernel,
+    comm: CommMode,
+) -> TrainRankOut<T> {
     let p = plan.problem;
     let (w, t) = (plan.w, plan.t);
     assert_eq!(t.tc, 1, "the distributed schedule requires T_c = 1");
@@ -258,7 +252,7 @@ fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> Tra
         ker_shard,
         ker_origin,
         ker_c_range,
-    } = distribute::<T>(plan, rank.id(), seed);
+    } = distribute::<T>(plan, rank.id(), seed, seed ^ KER_SEED_XOR, None);
     let [_ib, ik, ic, _ih, _iw] = coords;
     let _shard_lease = rank
         .mem()
@@ -296,8 +290,8 @@ fn train_rank_body<T: Scalar>(rank: &Rank<T>, plan: &DistPlan, seed: u64) -> Tra
         ker_shard: &ker_shard,
         ker_origin,
         out_origin,
-        kernel: distconv_par::LocalKernel::from_env(),
-        comm: distconv_par::CommMode::from_env(),
+        kernel,
+        comm,
     };
     crate::fwd::forward_tiles(&ctx, &mut out_slice);
     if plan.grid.pc > 1 {
@@ -487,13 +481,19 @@ mod tests {
             .unwrap();
         let procs = plan.grid.total();
         let report = Machine::run::<f64, _, _>(procs, MachineConfig::default(), |rank| {
-            train_rank_body::<f64>(rank, &plan, 3)
+            train_rank_body::<f64>(
+                rank,
+                &plan,
+                3,
+                LocalKernel::from_env(),
+                CommMode::from_env(),
+            )
         });
         for out in &report.results {
             // Must match the distribution module's Ker shard for the rank.
             let grid = plan_grid(&plan);
             let id = grid.index_of(out.coords.as_ref());
-            let rd = distribute::<f64>(&plan, id, 3);
+            let rd = distribute::<f64>(&plan, id, 3, 3 ^ KER_SEED_XOR, None);
             assert_eq!(
                 out.grad_range.lo,
                 [rd.ker_origin[0], rd.ker_origin[1], 0, 0]

@@ -1,17 +1,16 @@
-//! One cluster's batch executor: dispatch with crash recovery.
+//! One cluster's batch executor: dispatch under the shared step
+//! recovery policy ([`mod@distconv_core::recover`]).
 //!
-//! Mirrors `DistConv::run_recovering`'s policy at the network level:
-//! an injected crash mid-batch triggers a bounded number of **replays**
-//! (transient faults are cleared, the batch re-runs bitwise-identically
-//! on the same grid — the batch is a pure function of its seed); a
-//! *persistent* crash survives the clearing, exhausts the replays, and
-//! drives a **degraded re-plan**: the network is re-tuned over the
-//! survivor count (scanning downward past unfactorable `P′`) and the
+//! An injected crash mid-batch triggers a bounded number of
+//! **replays** (transient faults are cleared, the batch re-runs
+//! bitwise-identically on the same grid — the batch is a pure function
+//! of its seed); a *persistent* crash survives the clearing, exhausts
+//! the replays, and drives a **degraded re-plan**: the network is
+//! re-tuned ([`NetworkPlan::plan_tuned`]) over the survivors and the
 //! batch re-routed onto the shrunken grid.
 
 use distconv_core::batch::{dispatch_batch, BatchRun};
-use distconv_core::{CoreError, NetworkPlan, MAX_STEP_RETRIES};
-use distconv_cost::{Conv2dProblem, MachineSpec};
+use distconv_core::{recover, CoreError, NetworkPlan, Recovery};
 use distconv_simnet::MachineConfig;
 
 /// How a batch finally completed.
@@ -19,81 +18,42 @@ use distconv_simnet::MachineConfig;
 pub struct BatchOutcome {
     /// The successful run (on the original or the degraded plan).
     pub run: BatchRun,
-    /// Replay attempts consumed by injected crashes.
+    /// What recovery cost the batch: replays, their wasted traffic,
+    /// and the degraded re-plan's details.
+    pub recovery: Recovery,
+    /// Replay attempts consumed by injected crashes
+    /// (`recovery.retries`).
     pub replays: u32,
     /// `Some(new_p)` when the batch finished on a degraded grid over
-    /// `new_p` ranks.
+    /// `new_p` ranks (`recovery.degrade`'s new grid size).
     pub degraded_to: Option<usize>,
 }
 
 /// Execute one batch with recovery. `plan` is the model's tuned
-/// layout, `problems`/`machine` its planning inputs (needed to re-plan
-/// when degrading), `seed` the folded batch seed.
+/// layout (its layers and machine are the re-planning inputs when
+/// degrading), `seed` the folded batch seed.
 pub fn execute_batch(
     plan: &NetworkPlan,
-    problems: &[Conv2dProblem],
-    machine: MachineSpec,
     seed: u64,
     cfg: MachineConfig,
 ) -> Result<BatchOutcome, CoreError> {
-    let mut cfg = cfg;
-    let mut replays = 0u32;
-    loop {
-        match dispatch_batch::<f64>(plan, seed, cfg) {
-            Ok(run) => {
-                return Ok(BatchOutcome {
-                    run,
-                    replays,
-                    degraded_to: None,
-                })
-            }
-            Err(CoreError::Machine(e)) if e.has_injected_crash() && replays < MAX_STEP_RETRIES => {
-                // Transient crash: clear one-shot rank faults and
-                // replay the whole batch. Same plan + same seed ⇒ the
-                // replayed results are bitwise identical to what the
-                // fault-free run would have produced.
-                replays += 1;
-                cfg.faults = cfg.faults.without_rank_faults();
-            }
-            Err(CoreError::Machine(e)) if e.has_injected_crash() => {
-                // Persistent crash: the rank is gone for good. Re-plan
-                // the network over the survivors and re-route the
-                // batch there.
-                let dead = e.dead_ranks();
-                let survivors = plan.layers[0].grid.total().saturating_sub(dead.len());
-                let new_plan = (1..=survivors)
-                    .rev()
-                    .find_map(|p| {
-                        NetworkPlan::plan_tuned(problems, MachineSpec::new(p, machine.mem)).ok()
-                    })
-                    .ok_or(CoreError::Machine(e))?;
-                // The dead rank does not exist on the shrunken grid:
-                // drop its faults rather than crash an innocent
-                // renumbered rank.
-                cfg.faults.crash = None;
-                if cfg
-                    .faults
-                    .straggler
-                    .is_some_and(|s| s.rank >= new_plan.layers[0].grid.total())
-                {
-                    cfg.faults.straggler = None;
-                }
-                let run = dispatch_batch::<f64>(&new_plan, seed, cfg)?;
-                let new_p = new_plan.layers[0].grid.total();
-                return Ok(BatchOutcome {
-                    run,
-                    replays: replays + 1,
-                    degraded_to: Some(new_p),
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let (mut run, recovery) = recover(plan, cfg, Some(NetworkPlan::plan_tuned), |plan, cfg| {
+        dispatch_batch::<f64>(plan, seed, cfg)
+    })?;
+    recovery.mark(&mut run.report.trace);
+    Ok(BatchOutcome {
+        run,
+        replays: recovery.retries,
+        degraded_to: recovery.degrade.as_ref().map(|d| d.new_grid.total()),
+        recovery,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use distconv_core::MAX_STEP_RETRIES;
+    use distconv_cost::{Conv2dProblem, MachineSpec};
     use distconv_simnet::FaultPlan;
 
     fn chain() -> Vec<Conv2dProblem> {
@@ -117,13 +77,12 @@ mod tests {
         let problems = chain();
         let machine = MachineSpec::new(4, 1 << 20);
         let plan = NetworkPlan::plan_tuned(&problems, machine).unwrap();
-        let clean = execute_batch(&plan, &problems, machine, 99, fast_cfg()).expect("fault-free");
+        let clean = execute_batch(&plan, 99, fast_cfg()).expect("fault-free");
         assert_eq!(clean.replays, 0);
 
         let mut faulty = fast_cfg();
         faulty.faults = FaultPlan::default().with_crash(1, 3);
-        let recovered =
-            execute_batch(&plan, &problems, machine, 99, faulty).expect("recovers via replay");
+        let recovered = execute_batch(&plan, 99, faulty).expect("recovers via replay");
         assert!(recovered.replays >= 1);
         assert_eq!(recovered.degraded_to, None);
         assert_eq!(
@@ -139,17 +98,15 @@ mod tests {
         let plan = NetworkPlan::plan_tuned(&problems, machine).unwrap();
         let mut faulty = fast_cfg();
         faulty.faults = FaultPlan::default().with_persistent_crash(2, 2);
-        let out = execute_batch(&plan, &problems, machine, 41, faulty).expect("degrades");
+        let out = execute_batch(&plan, 41, faulty).expect("degrades");
         let new_p = out.degraded_to.expect("must re-plan over survivors");
         assert!(new_p < 4, "degraded grid must shrink");
         assert_eq!(out.replays, MAX_STEP_RETRIES + 1);
         // The degraded run is itself deterministic: the same batch on
         // the same degraded plan fault-free matches bitwise.
-        let degraded_plan = (1..=new_p)
-            .rev()
-            .find_map(|p| NetworkPlan::plan_tuned(&problems, MachineSpec::new(p, machine.mem)).ok())
-            .unwrap();
-        let clean = execute_batch(&degraded_plan, &problems, machine, 41, fast_cfg()).unwrap();
+        let degraded_plan =
+            NetworkPlan::plan_tuned(&problems, MachineSpec::new(new_p, machine.mem)).unwrap();
+        let clean = execute_batch(&degraded_plan, 41, fast_cfg()).unwrap();
         assert_eq!(out.run.digests, clean.run.digests);
     }
 }

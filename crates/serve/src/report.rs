@@ -31,8 +31,14 @@ pub struct ModelReport {
     pub partial_flushes: usize,
     /// Fault-recovery replays across all batches.
     pub replays: u32,
+    /// Elements moved by the replayed (aborted) attempts across all
+    /// batches — recovery cost, kept out of `measured_volume`.
+    pub retry_elems: u64,
     /// Batches that finished on a degraded (re-planned) grid.
     pub degraded_batches: usize,
+    /// Checkpoint elements redistributed onto degraded grids across all
+    /// batches (see [`distconv_core::DegradeInfo::redist_elems`]).
+    pub redist_elems: u64,
     /// p50 queueing+execution latency, milliseconds.
     pub p50_ms: f64,
     /// p95 latency, milliseconds.

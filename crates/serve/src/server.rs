@@ -116,7 +116,9 @@ struct BatchTallies {
     batches: usize,
     partial_flushes: usize,
     replays: u32,
+    retry_elems: u64,
     degraded_batches: usize,
+    redist_elems: u64,
     expected_volume: u128,
     measured_volume: u128,
 }
@@ -388,13 +390,7 @@ fn worker_loop(
         let rt = &models[batch.model];
         let seeds: Vec<u64> = batch.members.iter().map(|p| p.seed).collect();
         let seed = batch_seed(&seeds);
-        let outcome = execute_batch(
-            &rt.plan,
-            &rt.spec.layers,
-            rt.spec.machine,
-            seed,
-            machine_cfg,
-        );
+        let outcome = execute_batch(&rt.plan, seed, machine_cfg);
         let done = Instant::now();
         let mut st = shared.state.lock().unwrap();
         st.in_flight -= 1;
@@ -406,8 +402,10 @@ fn worker_loop(
                     t.partial_flushes += 1;
                 }
                 t.replays += out.replays;
-                if out.degraded_to.is_some() {
+                t.retry_elems += out.recovery.retry_elems;
+                if let Some(d) = &out.recovery.degrade {
                     t.degraded_batches += 1;
+                    t.redist_elems += d.redist_elems;
                 }
                 t.expected_volume += out.run.report.expected_total();
                 t.measured_volume += out.run.report.measured_total();
@@ -461,7 +459,9 @@ fn build_report(models: &[ModelRuntime], st: &State, wall: Duration) -> ServeRep
                 batches: t.batches,
                 partial_flushes: t.partial_flushes,
                 replays: t.replays,
+                retry_elems: t.retry_elems,
                 degraded_batches: t.degraded_batches,
+                redist_elems: t.redist_elems,
                 p50_ms: percentile_ms(&lat, 50.0),
                 p95_ms: percentile_ms(&lat, 95.0),
                 p99_ms: percentile_ms(&lat, 99.0),

@@ -62,6 +62,10 @@ fn kill_mid_batch_replays_bitwise_and_meets_slo() {
         chaos_report.models[0].replays >= 1,
         "the injected crash must have forced at least one replay"
     );
+    assert!(
+        chaos_report.models[0].retry_elems > 0,
+        "the aborted attempts' traffic must be reported"
+    );
     assert_eq!(
         chaos, clean,
         "replayed batches must be bitwise identical to the fault-free run"
@@ -84,6 +88,14 @@ fn persistent_death_degrades_grid_and_still_serves() {
     assert!(
         report.models[0].degraded_batches >= 1,
         "persistent crash must re-plan over survivors"
+    );
+    assert!(
+        report.models[0].retry_elems > 0,
+        "aborted attempts moved data"
+    );
+    assert!(
+        report.models[0].redist_elems > 0,
+        "the shrink must redistribute checkpoint shards"
     );
     assert!(digests.iter().all(|&(_, d)| d != 0));
     let conf = report.conformance();
